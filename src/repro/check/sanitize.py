@@ -33,7 +33,8 @@ What each leg guards:
   mapped).
 * **Cache** — pin/unpin balance, no aliased cache entries (two node
   objects under one id), no victim evicted dirty or pinned, no pin
-  leaks on absent nodes.
+  leaks on absent nodes, and the incrementally kept byte total equals
+  a full ``Σ nbytes()`` recompute (at every eviction pass and scan).
 
 Cheap local checks run at their hook site; whole-structure scans
 (block tables, FTL divergence, cached-node walk) run at checkpoint via
@@ -547,8 +548,38 @@ class SanitizerSuite:
             node.node_id,
         )
 
+    def on_cache_measured(self, cache) -> None:
+        """Right after ``memory_used`` every id is measured, so the
+        running total must equal a full ``Σ nbytes()`` recompute."""
+        self._check_cache_bytes(cache)
+
+    def _check_cache_bytes(self, cache) -> None:
+        sizes = cache._sizes
+        require(
+            cache._used == sum(sizes.values()),
+            "node-cache running total disagrees with its size map",
+            CacheInvariantError,
+            (cache._used, sum(sizes.values())),
+        )
+        require(
+            sizes.keys() <= cache._nodes.keys(),
+            "node-cache size map holds an uncached node",
+            CacheInvariantError,
+            sorted(sizes.keys() - cache._nodes.keys()),
+        )
+        for node_id, (node, _owner) in cache._nodes.items():
+            if node_id in cache._touched:
+                continue  # re-measured at the next memory_used
+            require(
+                sizes.get(node_id) == node.nbytes(),
+                "cached node changed size without a get/put/touch",
+                CacheInvariantError,
+                (node_id, sizes.get(node_id), node.nbytes()),
+            )
+
     def check_cache(self) -> None:
         cache = self.env.cache
+        self._check_cache_bytes(cache)
         for node_id in cache._pins:
             require(
                 node_id in cache._nodes,

@@ -1035,6 +1035,7 @@ class BeTree:
         basement = decode_basement(blob, prefix, aligned=self.cfg.page_sharing)
         basement.loaded = True
         leaf.basements[idx] = basement
+        self.cache.touch(leaf.node_id)
         self.stats.basement_loads += 1
 
     def _ensure_fully_loaded(self, leaf: LeafNode) -> None:

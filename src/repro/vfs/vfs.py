@@ -334,20 +334,14 @@ class VFS:
         # the moved subtree under the old names first — the backend's
         # rename operates on its own index.
         self.writeback(path=src)
-        src_prefix = src + "/"
-        for dirty in self.dcache.dirty_inodes():
-            if dirty.path == src or dirty.path.startswith(src_prefix):
+        for _path, dirty in self.dcache.subtree(src):
+            if dirty is not None and dirty.dirty:
                 self.backend.set_stat(
                     dirty.path, dirty.stat, dirty.pinned_log_section
                 )
                 dirty.dirty = False
                 dirty.pinned_log_section = None
-        prefix_pages = [
-            (p, i)
-            for (p, i), page in self.pages
-            if page.dirty and (p == src or p.startswith(src_prefix))
-        ]
-        if prefix_pages:
+        if self.pages.has_dirty_under(src):
             self.writeback()
         self.backend.rename(src, dst, inode.stat)
         self.pages.drop_file(src)

@@ -147,6 +147,25 @@ class TestSanitizers:
         with pytest.raises(CacheInvariantError):
             env.cache.unpin(999999)
 
+    def test_cache_sanitizer_catches_untouched_size_change(self):
+        """The running node-cache byte total re-measures only nodes
+        handed out since the last measurement; a cached leaf that grows
+        behind the cache's back must trip the full-recompute check."""
+        from repro.core.messages import Insert
+
+        env, _device = make_env(small_cfg(sanitize=True))
+        env.insert(META, b"k", b"v")  # post-op eviction pass measures
+        env.san.check_cache()
+        leaf = next(n for _o, n in env.cache.all_nodes() if n.is_leaf)
+        leaf.apply(Insert(b"kz", b"x" * 100, msn=1 << 40), 1 << 20)
+        with pytest.raises(CacheInvariantError, match="without a get"):
+            env.san.check_cache()
+        with pytest.raises(CacheInvariantError, match="without a get"):
+            env.cache.evict_to_fit(lambda o, n: None)
+        env.cache.touch(leaf.node_id)
+        env.cache.evict_to_fit(lambda o, n: None)
+        env.san.check_cache()
+
     def test_alloc_sanitizer_rejects_double_free(self):
         env, _device = make_env(small_cfg(sanitize=True))
         buf = env.alloc.alloc(4096)

@@ -213,6 +213,31 @@ class TestDirtyInodes:
         assert fs.backend.deferred_creates == 0
         assert fs.env.meta.stats.inserts > before
 
+    def test_rename_writes_dirty_inodes_back_in_lru_order(self, fs, v):
+        """rename flushes the moved subtree's dirty inodes oldest-touched
+        first, not in path order; the order reaches the log."""
+        v.mkdir("/d")
+        v.mkdir("/d/sub")
+        for name in ("a", "b", "c", "sub/e", "sub/f"):
+            v.create(f"/d/{name}")
+        v.sync()
+        # Dirty them in an order unrelated to their paths.
+        for name in ("sub/f", "c", "a", "sub/e", "b"):
+            v.write(f"/d/{name}", 0, b"x")
+        v.stat("/d/c")  # a lookup moves /d/c to the MRU end
+        issued = []
+        inner = fs.backend.set_stat
+
+        def recording(path, stat, pinned):
+            issued.append(path)
+            return inner(path, stat, pinned)
+
+        fs.backend.set_stat = recording
+        v.rename("/d", "/moved")
+        assert issued == ["/d/sub/f", "/d/a", "/d/sub/e", "/d/b", "/d/c"]
+        assert v.read("/moved/sub/f", 0, 1) == b"x"
+        assert not v.exists("/d/a")
+
     def test_deferred_create_survives_crash_after_sync(self, fs, v):
         v.create("/d1")
         v.sync()
