@@ -42,7 +42,7 @@ _LAZY = {
     "fsck_device": "repro.check.fsck",
     "load_image": "repro.check.fsck",
     "save_image": "repro.check.fsck",
-    "Violation": "repro.check.lint",
+    "Violation": "repro.check.waivers",
     "lint_paths": "repro.check.lint",
     "lint_repo": "repro.check.lint",
     "SanitizerSuite": "repro.check.sanitize",

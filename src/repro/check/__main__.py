@@ -11,6 +11,8 @@ from __future__ import annotations
 import sys
 from typing import List, Optional
 
+from repro.check import lint
+
 _USAGE = (
     "usage: python -m repro.check {lint,arch,costflow,conc,durflow} [options]\n"
     "  lint      purity lint + arch + costflow + conc + durflow (--format json, --graph-out P)\n"
@@ -28,25 +30,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0 if argv else 2
     command, rest = argv[0], argv[1:]
     if command == "lint":
-        from repro.check import lint
-
         return lint.main(rest)
-    if command == "arch":
-        from repro.check import arch
-
-        return arch.main(rest)
-    if command == "costflow":
-        from repro.check import costflow
-
-        return costflow.main(rest)
-    if command == "conc":
-        from repro.check import conc
-
-        return conc.main(rest)
-    if command == "durflow":
-        from repro.check import durflow
-
-        return durflow.main(rest)
+    if command in lint.PASSES:
+        return lint.run_pass(command, rest)
     print(f"repro.check: unknown command {command!r}", file=sys.stderr)
     print(_USAGE, file=sys.stderr)
     return 2

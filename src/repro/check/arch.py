@@ -10,15 +10,16 @@ the results the paper tables are built from.  The per-statement purity
 lint (:mod:`repro.check.lint`) cannot see that: it checks call sites,
 not the global shape of the program.
 
-This module parses all of ``src/repro`` with :mod:`ast`, builds the
-module import graph (``import``, ``from``-imports, *and* function-local
+This module reads every module's tree from the program index
+(:mod:`repro.check.index`), builds the module import graph (``import``, ``from``-imports, *and* function-local
 imports), and checks it against the declared layer manifest below:
 
 * every module must be classified by the manifest
   (``unclassified-module``) — new packages cannot dodge the DAG;
 * edges must point strictly *downward* in the manifest order
   (``layer-violation``), except edges inside one manifest entry;
-* the graph must be acyclic (``import-cycle``), via Tarjan SCC;
+* the graph must be acyclic (``import-cycle``), via
+  :func:`repro.check.graph.cycles`;
 * deliberate exceptions carry an inline ``# arch: allow[reason]``
   waiver on the import line — waived edges are excluded from both
   checks but reported in every run, and a waiver that suppresses
@@ -32,13 +33,12 @@ cluster per layer) so CI can diff it across commits.
 from __future__ import annotations
 
 import ast
-import json
-import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.check.lint import Violation, _walk_repo, repo_root
-from repro.check.waivers import WaiverSet, scan_waivers
+from repro.check.graph import cycles
+from repro.check.index import ProgramIndex, load, repo_root, walk
+from repro.check.waivers import Violation
 
 #: Rule identifiers this analysis can emit.
 RULES = ("layer-violation", "import-cycle", "unclassified-module", "unused-waiver")
@@ -114,12 +114,15 @@ class ArchReport:
             "layers": [name for name, _ in LAYER_MANIFEST],
             "modules": dict(sorted(self.modules.items())),
             "edges": [e.to_dict() for e in self.edges],
-            "violations": [
-                {"path": v.path, "line": v.line, "rule": v.rule, "message": v.message}
-                for v in self.violations
-            ],
+            "violations": [v.to_dict() for v in self.violations],
             "waivers": list(self.waivers),
         }
+
+    def summary(self) -> str:
+        return (
+            f"{len(self.modules)} modules, {len(self.edges)} edges, "
+            f"{len(self.waivers)} waiver(s)"
+        )
 
     def to_dot(self) -> str:
         """Graphviz rendering: one cluster per layer, top to bottom."""
@@ -209,7 +212,7 @@ def discovered_packages(root: Optional[str] = None) -> List[str]:
     """Top-level packages actually present under ``src/repro``."""
     root = root or repo_root()
     found = set()
-    for _full, rel in _walk_repo(root):
+    for _full, rel in walk(root):
         if "/" in rel:
             found.add(rel.split("/")[0])
     return sorted(found)
@@ -282,38 +285,27 @@ class _ImportCollector(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def _module_name(rel: str, package: str) -> str:
-    """Dotted module name of ``rel`` (path relative to the package dir)."""
-    parts = rel[: -len(".py")].split("/")
-    if parts[-1] == "__init__":
-        parts = parts[:-1]
-    return ".".join([package] + parts) if parts else package
-
-
 # ----------------------------------------------------------------------
 # Analysis
 # ----------------------------------------------------------------------
 def analyze(
-    root: Optional[str] = None,
+    index: Optional[ProgramIndex] = None,
     manifest: Sequence[Tuple[str, Sequence[str]]] = LAYER_MANIFEST,
-    package: str = "repro",
 ) -> ArchReport:
-    """Run the architecture analysis over one tree."""
-    root = root or repo_root()
+    """Run the architecture analysis over one indexed tree (default:
+    a fresh index of ``src/repro``)."""
+    if index is None:
+        index = load()
+    package = index.package
     report = ArchReport()
-    waivers = WaiverSet(tool="arch")
+    waivers = index.waivers("arch")
     ranked: Dict[str, Tuple[int, str]] = {}
+    known_modules = {f.module for f in index.files}
 
-    files: List[Tuple[str, str, str]] = []  # (full, path-for-report, module)
-    known_modules = set()
-    for full, rel in _walk_repo(root):
-        module = _module_name(rel, package)
-        files.append((full, full, module))
-        known_modules.add(module)
-
-    # Pass 1: classify modules, collect waivers and raw imports.
+    # Pass 1: classify modules and collect raw imports.
     raw_imports: List[Tuple[str, str, str, int, bool]] = []
-    for full, path, module in files:
+    for f in index.files:
+        module, path = f.module, f.path
         cls = classify(module, manifest)
         if cls is None:
             report.violations.append(
@@ -329,11 +321,8 @@ def analyze(
         else:
             ranked[module] = cls
             report.modules[module] = cls[1]
-        with open(full, "rb") as fh:
-            source = fh.read()
-        scan_waivers(path, source, "arch", waivers)
         collector = _ImportCollector(module, package)
-        collector.visit(ast.parse(source, filename=full))
+        collector.visit(f.tree)
         for target, line, local in collector.raw:
             raw_imports.append((module, target, path, line, local))
         for base, names, line, local in collector.raw_from:
@@ -391,13 +380,12 @@ def analyze(
             )
         )
 
-    # Pass 4: cycles over the unwaived graph (Tarjan SCC).  A waiver on
-    # *any* in-cycle edge breaks that edge out of the graph; the SCCs
-    # are recomputed until no waiver applies, then survivors report.
+    # Pass 4: cycles over the unwaived graph.  A waiver on *any*
+    # in-cycle edge breaks that edge out of the graph; the SCCs are
+    # recomputed until no waiver applies, then survivors report.
     while True:
         consumed_any = False
-        sccs = _cycles(report.edges, known_modules)
-        for scc in sccs:
+        for scc in _cycles(report.edges, known_modules):
             for edge in report.edges:
                 if (
                     edge.waived_reason is None
@@ -421,91 +409,19 @@ def analyze(
             )
         )
 
-    # Pass 5: waiver hygiene.
-    for waiver in waivers.empty_reason():
-        report.violations.append(
-            Violation(
-                waiver.path,
-                waiver.line,
-                "unused-waiver",
-                "arch waiver has an empty justification — say *why* the "
-                "edge is sound",
-            )
-        )
-    for waiver in waivers.unused():
-        if not waiver.reason.strip():
-            continue  # already reported above
-        report.violations.append(
-            Violation(
-                waiver.path,
-                waiver.line,
-                "unused-waiver",
-                f"arch waiver allow[{waiver.reason}] suppresses nothing — "
-                "delete it (dead waivers mask future violations)",
-            )
-        )
-    report.waivers = [w.render() for w in waivers.used()]
-    report.violations.sort(key=lambda v: (v.path, v.line, v.rule))
+    report.waivers = waivers.finish(report.violations, "the edge is sound")
     return report
 
 
 def _cycles(
     edges: Iterable[ImportEdge], modules: Iterable[str]
 ) -> List[List[str]]:
-    """Non-trivial SCCs of the unwaived import graph (Tarjan)."""
+    """Import cycles (SCCs) of the unwaived graph."""
     graph: Dict[str, List[str]] = {m: [] for m in modules}
     for e in edges:
         if e.waived_reason is None:
             graph[e.src].append(e.dst)
-    index: Dict[str, int] = {}
-    low: Dict[str, int] = {}
-    on_stack: Dict[str, bool] = {}
-    stack: List[str] = []
-    sccs: List[List[str]] = []
-    counter = [0]
-
-    def strongconnect(v: str) -> None:
-        # Iterative Tarjan: recursion depth would scale with module count.
-        work = [(v, iter(graph[v]))]
-        index[v] = low[v] = counter[0]
-        counter[0] += 1
-        stack.append(v)
-        on_stack[v] = True
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(graph[w])))
-                    advanced = True
-                    break
-                elif on_stack.get(w):
-                    low[node] = min(low[node], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                scc = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    scc.append(w)
-                    if w == node:
-                        break
-                if len(scc) > 1:
-                    sccs.append(sorted(scc))
-
-    for v in sorted(graph):
-        if v not in index:
-            strongconnect(v)
-    return sorted(sccs)
+    return cycles(graph, graph.__getitem__)
 
 
 def _cycle_path(edges: Iterable[ImportEdge], scc: List[str]) -> List[str]:
@@ -542,54 +458,3 @@ def _edge_location(
             if best is None or loc < best:
                 best = loc
     return best if best is not None else ("<unknown>", 0)
-
-
-def write_graph(report: ArchReport, prefix: str) -> List[str]:
-    """Write ``prefix.json`` + ``prefix.dot``; returns the paths."""
-    json_path, dot_path = f"{prefix}.json", f"{prefix}.dot"
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(dot_path, "w", encoding="utf-8") as fh:
-        fh.write(report.to_dot())
-    return [json_path, dot_path]
-
-
-# ----------------------------------------------------------------------
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point used by ``python -m repro.check arch``."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.check arch",
-        description="Layer-DAG architecture check for the repro codebase",
-    )
-    parser.add_argument("--graph-out", help="write PREFIX.json + PREFIX.dot")
-    parser.add_argument(
-        "--format", choices=("text", "json"), default="text", dest="fmt"
-    )
-    args = parser.parse_args(argv)
-    report = analyze()
-    if args.graph_out:
-        for path in write_graph(report, args.graph_out):
-            print(f"wrote {path}")
-    if args.fmt == "json":
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-        return 0 if report.ok else 1
-    for rendered in report.waivers:
-        print(f"waived: {rendered}")
-    for violation in report.violations:
-        print(violation.render())
-    if report.violations:
-        print(f"{len(report.violations)} architecture violation(s)")
-        return 1
-    print(
-        f"repro.check arch: clean "
-        f"({len(report.modules)} modules, {len(report.edges)} edges, "
-        f"{len(report.waivers)} waiver(s))"
-    )
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

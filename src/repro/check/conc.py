@@ -49,14 +49,14 @@ machinery and hygiene rules (``unused-waiver``) as arch/costflow.
 from __future__ import annotations
 
 import ast
-import json
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.check import costflow
-from repro.check.arch import LAYER_MANIFEST, _module_name, classify
-from repro.check.lint import Violation, _walk_repo, repo_root
-from repro.check.waivers import WaiverSet, scan_waivers
+from repro.check.arch import LAYER_MANIFEST, classify
+from repro.check.graph import cycles
+from repro.check.index import ProgramIndex, load
+from repro.check.waivers import Findings, Violation, WaiverSet
 
 #: Every rule this analyzer can report.
 RULES = (
@@ -273,12 +273,18 @@ class ConcReport:
             "signal_sites": self.signal_sites,
             "reachable_from_session": self.reachable,
             "lock_graph": self.lock_graph.to_dict(),
-            "violations": [
-                {"path": v.path, "line": v.line, "rule": v.rule, "message": v.message}
-                for v in self.violations
-            ],
+            "violations": [v.to_dict() for v in self.violations],
             "waivers": list(self.waivers),
         }
+
+    def summary(self) -> str:
+        graph = self.lock_graph
+        return (
+            f"{self.functions} functions, {self.acquire_sites} acquire "
+            f"site(s), {len(graph.nodes)} lock class(es), "
+            f"{len(graph.edges)} edge(s), {self.signal_sites} signal "
+            f"fire(s), {len(self.waivers)} waiver(s)"
+        )
 
 
 # ======================================================================
@@ -360,7 +366,7 @@ class _LockAnalyzer:
         self,
         program: costflow.Program,
         graph: LockGraph,
-        findings: "_Findings",
+        findings: Findings,
     ) -> None:
         self.program = program
         self.graph = graph
@@ -779,25 +785,9 @@ class _LockAnalyzer:
 
 
 # ======================================================================
-# Findings accumulator (dedupe + deferred waiver application)
-# ======================================================================
-class _Findings:
-    def __init__(self) -> None:
-        self.items: List[Tuple[str, int, str, str]] = []
-        self._seen: Set[Tuple[str, int, str]] = set()
-
-    def add(self, path: str, line: int, rule: str, message: str) -> None:
-        key = (path, line, rule)
-        if key in self._seen:
-            return
-        self._seen.add(key)
-        self.items.append((path, line, rule, message))
-
-
-# ======================================================================
 # Lock-cycle detection
 # ======================================================================
-def _lock_cycles(graph: LockGraph, waivers: WaiverSet, findings: _Findings) -> None:
+def _lock_cycles(graph: LockGraph, waivers: WaiverSet, findings: Findings) -> None:
     """Report every cycle of the may-hold-while-acquiring relation that
     is not fully covered by the sorted-key discipline.  A waiver on any
     in-cycle edge breaks that edge out of the graph (arch-style loop)."""
@@ -838,68 +828,13 @@ def _lock_cycles(graph: LockGraph, waivers: WaiverSet, findings: _Findings) -> N
 
 
 def _sccs(graph: LockGraph) -> List[List[str]]:
-    """SCCs with a cycle: size > 1, or a single node with a self-edge."""
+    """Cycles of the unwaived graph: SCCs of two or more classes, or
+    one class with a self-edge."""
     succ: Dict[str, List[str]] = {p: [] for p in graph.nodes}
-    self_loops: Set[str] = set()
     for e in graph.edges:
-        if e.waived:
-            continue
-        if e.src == e.dst:
-            self_loops.add(e.src)
-        else:
-            succ.setdefault(e.src, []).append(e.dst)
-            succ.setdefault(e.dst, [])
-    index: Dict[str, int] = {}
-    low: Dict[str, int] = {}
-    on_stack: Dict[str, bool] = {}
-    stack: List[str] = []
-    sccs: List[List[str]] = []
-    counter = [0]
-
-    def strongconnect(v: str) -> None:
-        work = [(v, iter(succ[v]))]
-        index[v] = low[v] = counter[0]
-        counter[0] += 1
-        stack.append(v)
-        on_stack[v] = True
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(succ[w])))
-                    advanced = True
-                    break
-                elif on_stack.get(w):
-                    low[node] = min(low[node], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                scc = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    scc.append(w)
-                    if w == node:
-                        break
-                if len(scc) > 1:
-                    sccs.append(sorted(scc))
-
-    for v in sorted(succ):
-        if v not in index:
-            strongconnect(v)
-    covered = {p for scc in sccs for p in scc}
-    for p in sorted(self_loops - covered):
-        sccs.append([p])
-    return sorted(sccs)
+        if not e.waived:
+            succ[e.src].append(e.dst)
+    return cycles(succ, succ.__getitem__)
 
 
 # ======================================================================
@@ -907,10 +842,9 @@ def _sccs(graph: LockGraph) -> List[List[str]]:
 # ======================================================================
 def _signal_pass(
     program: costflow.Program,
-    trees: Dict[str, ast.AST],
     manifest: Sequence[Tuple[str, Sequence[str]]],
     signal_layers: Dict[str, str],
-    findings: _Findings,
+    findings: Findings,
 ) -> int:
     layer_rank = {layer: rank for rank, (layer, _p) in enumerate(manifest)}
     sites = 0
@@ -918,7 +852,7 @@ def _signal_pass(
         mod = program.modules[name]
         ranked = classify(name, manifest)
         mod_rank = ranked[0] if ranked is not None else None
-        for func_node in _all_function_nodes(trees[name]):
+        for func_node in _all_function_nodes(mod.tree):
             signal_names = _signal_locals(func_node)
             sites += _scan_signal_fires(
                 func_node,
@@ -971,7 +905,7 @@ def _scan_signal_fires(
     mod_rank: Optional[int],
     layer_rank: Dict[str, int],
     signal_layers: Dict[str, str],
-    findings: _Findings,
+    findings: Findings,
 ) -> int:
     sites = 0
 
@@ -1057,17 +991,11 @@ def _scan_signal_fires(
 # ======================================================================
 def _purity_pass(
     program: costflow.Program,
-    findings: _Findings,
+    findings: Findings,
     state_classes: FrozenSet[str],
     sinks: FrozenSet[Tuple[str, str]],
     entries: Sequence[Tuple[str, str]],
 ) -> int:
-    # Populate call edges (reuses costflow's typed-or-nothing walker).
-    for func in program.functions.values():
-        walker = costflow._BodyWalker(program, func, ())
-        for stmt in getattr(func.node, "body", []):
-            walker.visit(stmt)
-
     def class_method(func: costflow.FuncInfo) -> Optional[Tuple[str, str]]:
         if func.class_key is None:
             return None
@@ -1148,33 +1076,24 @@ def _purity_pass(
 # Analysis driver
 # ======================================================================
 def analyze(
-    root: Optional[str] = None,
-    package: str = "repro",
+    index: Optional[ProgramIndex] = None,
     manifest: Sequence[Tuple[str, Sequence[str]]] = LAYER_MANIFEST,
     signal_layers: Optional[Dict[str, str]] = None,
     state_classes: FrozenSet[str] = STATE_CLASS_NAMES,
     sinks: FrozenSet[Tuple[str, str]] = SINK_METHODS,
     entries: Sequence[Tuple[str, str]] = ENTRY_METHODS,
 ) -> ConcReport:
-    root = root or repo_root()
+    """Run the concurrency analysis over one indexed tree (default: a
+    fresh index of ``src/repro``)."""
+    if index is None:
+        index = load()
     layers = dict(SIGNAL_LAYERS if signal_layers is None else signal_layers)
-    program = costflow.Program(package)
-    waivers = WaiverSet(tool="conc")
-    trees: Dict[str, ast.AST] = {}
-    for full, rel in _walk_repo(root):
-        with open(full, "rb") as fh:
-            source = fh.read()
-        module = _module_name(rel, package)
-        tree = ast.parse(source, filename=full)
-        trees[module] = tree
-        program.index_module(module, full, tree)
-        scan_waivers(full, source, "conc", waivers)
-    program.link_hierarchy()
-    program.type_attributes()
+    program = index.program
+    waivers = index.waivers("conc")
 
     report = ConcReport()
     report.functions = len(program.functions)
-    findings = _Findings()
+    findings = Findings()
 
     # Pass 1+2: lock graph + yield discipline (one interpretation).
     analyzer = _LockAnalyzer(program, report.lock_graph, findings)
@@ -1183,7 +1102,7 @@ def analyze(
     report.acquire_sites = analyzer.acquire_sites
 
     # Pass 3: signal placement.
-    report.signal_sites = _signal_pass(program, trees, manifest, layers, findings)
+    report.signal_sites = _signal_pass(program, manifest, layers, findings)
 
     # Pass 4: session purity.
     report.reachable = _purity_pass(
@@ -1193,127 +1112,10 @@ def analyze(
     # Lock-order cycles (waiver-aware, arch-style edge breaking).
     _lock_cycles(report.lock_graph, waivers, findings)
 
-    # Waivers apply to every remaining finding by (path, line).
-    for path, line, rule, message in findings.items:
-        if rule != "lock-cycle":  # cycle waivers consumed edge-wise above
-            waiver = waivers.consume(path, line)
-            if waiver is not None:
-                continue
-        report.violations.append(Violation(path, line, rule, message))
-
-    # Waiver hygiene.
-    for waiver in waivers.empty_reason():
-        report.violations.append(
-            Violation(
-                waiver.path,
-                waiver.line,
-                "unused-waiver",
-                "conc waiver has an empty justification — say *why* the "
-                "discipline exception is sound",
-            )
-        )
-    for waiver in waivers.unused():
-        if not waiver.reason.strip():
-            continue
-        report.violations.append(
-            Violation(
-                waiver.path,
-                waiver.line,
-                "unused-waiver",
-                f"conc waiver allow[{waiver.reason}] suppresses nothing — "
-                "delete it (dead waivers mask future violations)",
-            )
-        )
-    report.waivers = [w.render() for w in waivers.used()]
-    report.violations.sort(key=lambda v: (v.path, v.line, v.rule))
+    # Waivers apply to every remaining finding by (path, line); cycle
+    # waivers were consumed edge-wise above.
+    report.violations = findings.unwaived(waivers, prewaived=("lock-cycle",))
+    report.waivers = waivers.finish(
+        report.violations, "the discipline exception is sound"
+    )
     return report
-
-
-def write_graph(report: ConcReport, prefix: str) -> List[str]:
-    """Write ``prefix.json`` + ``prefix.dot``; returns the paths."""
-    json_path, dot_path = f"{prefix}.json", f"{prefix}.dot"
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(report.lock_graph.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(dot_path, "w", encoding="utf-8") as fh:
-        fh.write(report.lock_graph.to_dot())
-    return [json_path, dot_path]
-
-
-def load_baseline(path: str) -> Set[Tuple[str, str]]:
-    """Committed-baseline entries as ``(rule, path)`` pairs.
-
-    Baseline paths are repo-relative and matched as path suffixes, and
-    line numbers are not part of the key — so a committed baseline
-    survives checkouts at other prefixes and unrelated edits above the
-    finding."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return {(f["rule"], f["path"]) for f in data.get("findings", [])}
-
-
-def _is_baselined(v: Violation, known: Set[Tuple[str, str]]) -> bool:
-    return any(
-        rule == v.rule and (v.path == bpath or v.path.endswith("/" + bpath))
-        for rule, bpath in known
-    )
-
-
-# ----------------------------------------------------------------------
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point used by ``python -m repro.check conc``."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.check conc",
-        description="Whole-program static concurrency analysis",
-    )
-    parser.add_argument("--graph-out", help="write PREFIX.json + PREFIX.dot")
-    parser.add_argument(
-        "--format", choices=("text", "json"), default="text", dest="fmt"
-    )
-    parser.add_argument(
-        "--baseline",
-        help="JSON baseline of known findings; fail only on new ones",
-    )
-    args = parser.parse_args(argv)
-    report = analyze()
-    if args.graph_out:
-        for path in write_graph(report, args.graph_out):
-            print(f"wrote {path}")
-    known: Set[Tuple[str, str]] = set()
-    if args.baseline:
-        try:
-            known = load_baseline(args.baseline)
-        except (OSError, ValueError) as exc:
-            print(f"repro.check conc: bad baseline: {exc}")
-            return 2
-    fresh = [v for v in report.violations if not _is_baselined(v, known)]
-    baselined = len(report.violations) - len(fresh)
-    if args.fmt == "json":
-        payload = report.to_dict()
-        payload["new_violations"] = len(fresh)
-        payload["baselined"] = baselined
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return 1 if fresh else 0
-    for rendered in report.waivers:
-        print(f"waived: {rendered}")
-    for violation in fresh:
-        print(violation.render())
-    if fresh:
-        print(f"{len(fresh)} concurrency violation(s)")
-        return 1
-    graph = report.lock_graph
-    suffix = f", {baselined} baselined" if baselined else ""
-    print(
-        f"repro.check conc: clean "
-        f"({report.functions} functions, {report.acquire_sites} acquire "
-        f"site(s), {len(graph.nodes)} lock class(es), "
-        f"{len(graph.edges)} edge(s), {report.signal_sites} signal "
-        f"fire(s), {len(report.waivers)} waiver(s){suffix})"
-    )
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -7,8 +7,10 @@ helper is fine **because its callers charge**, or that a new call path
 sneaks bytes past the clock entirely.  This module checks the property
 interprocedurally:
 
-1. parse all of ``src/repro`` and build a **module-qualified call
-   graph** — receivers are resolved through parameter/attribute/return
+1. build a **module-qualified call graph** of ``src/repro`` (the
+   :class:`Program` below, built once per run by
+   :mod:`repro.check.index` and shared with conc and durflow) —
+   receivers are resolved through parameter/attribute/return
    annotations, constructor assignments, and repo-local class
    hierarchies (virtual dispatch over-approximates: a call through a
    base class reaches every override);
@@ -40,13 +42,14 @@ findings over recall, which is the right trade for a CI gate.
 from __future__ import annotations
 
 import ast
-import json
-import os
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.check.lint import Violation, _walk_repo, repo_root
-from repro.check.waivers import WaiverSet, scan_waivers
+from repro.check.graph import sccs
+from repro.check.waivers import Violation
+
+if TYPE_CHECKING:
+    from repro.check.index import ProgramIndex
 
 #: Rule identifiers this analysis can emit.
 RULES = ("uncharged-bytes", "unused-waiver")
@@ -127,7 +130,7 @@ def _is_exempt(module: str, exempt: Sequence[str]) -> bool:
 
 
 # ======================================================================
-# Program index
+# Typed program model (built by repro.check.index)
 # ======================================================================
 @dataclass
 class FuncInfo:
@@ -171,6 +174,7 @@ class ClassInfo:
 class ModuleInfo:
     name: str
     path: str
+    tree: ast.Module
     #: local name -> full dotted target ("repro.core.tree.BeTree" or module)
     imports: Dict[str, str] = field(default_factory=dict)
     classes: Dict[str, ClassInfo] = field(default_factory=dict)  # by bare name
@@ -201,8 +205,8 @@ class Program:
     # ------------------------------------------------------------------
     # Indexing
     # ------------------------------------------------------------------
-    def index_module(self, name: str, path: str, tree: ast.AST) -> None:
-        mod = ModuleInfo(name=name, path=path)
+    def index_module(self, name: str, path: str, tree: ast.Module) -> None:
+        mod = ModuleInfo(name=name, path=path, tree=tree)
         self.modules[name] = mod
         for stmt in tree.body:
             self._index_stmt(mod, stmt)
@@ -419,9 +423,6 @@ class Program:
                 out[sub_cls.methods[name].key] = sub_cls.methods[name]
         return list(out.values())
 
-    def class_names(self, keys: Iterable[str]) -> Set[str]:
-        return {self.classes[k].name for k in keys if k in self.classes}
-
     # ------------------------------------------------------------------
     # Attribute typing (two rounds so chains like env.storage resolve)
     # ------------------------------------------------------------------
@@ -447,6 +448,40 @@ class Program:
                         cls.attr_types[attr] = direct
                     if elems:
                         cls.attr_elems[attr] = elems
+
+    def type_singletons(self) -> None:
+        """Type module-level singletons (``DEFAULT_COSTS = CostModel()``
+        and friends) once every class and attribute is known."""
+        for mod in self.modules.values():
+            pseudo = FuncInfo(
+                key=f"{mod.name}:<module>",
+                module=mod.name,
+                qualname="<module>",
+                path=mod.path,
+                line=0,
+                node=mod.tree,
+            )
+            for stmt in mod.tree.body:
+                if (
+                    isinstance(stmt, ast.Assign)
+                    and len(stmt.targets) == 1
+                    and isinstance(stmt.targets[0], ast.Name)
+                    and isinstance(stmt.value, ast.Call)
+                ):
+                    direct, _ = self._eval(stmt.value, pseudo, {})
+                    if direct:
+                        mod.global_types[stmt.targets[0].id] = frozenset(
+                            k[len("type:") :] if k.startswith("type:") else k
+                            for k in direct
+                        )
+
+    def walk_bodies(self) -> None:
+        """Record every function's call edges and sink/source call
+        sites.  Run once: the walk appends to the per-function lists."""
+        for func in self.functions.values():
+            walker = _BodyWalker(self, func)
+            for stmt in getattr(func.node, "body", []):
+                walker.visit(stmt)
 
     def attr_lookup(
         self, class_key: str, attr: str
@@ -642,11 +677,10 @@ class Program:
 # Function-body walk: types flow forward, calls are recorded in order
 # ======================================================================
 class _BodyWalker(ast.NodeVisitor):
-    def __init__(self, program: Program, func: FuncInfo, exempt: Sequence[str]) -> None:
+    def __init__(self, program: Program, func: FuncInfo) -> None:
         self.program = program
         self.func = func
         self.env = program._param_env(func)
-        self.exempt = exempt
 
     # -- assignments refine the local environment -----------------------
     def visit_Assign(self, node: ast.Assign) -> None:
@@ -743,73 +777,31 @@ class CostflowReport:
             "call_edges": self.call_edges,
             "charging_functions": self.charging_functions,
             "sources_checked": self.sources_checked,
-            "violations": [
-                {"path": v.path, "line": v.line, "rule": v.rule, "message": v.message}
-                for v in self.violations
-            ],
+            "violations": [v.to_dict() for v in self.violations],
             "waivers": list(self.waivers),
         }
+
+    def summary(self) -> str:
+        return (
+            f"{self.functions} functions, {self.call_edges} call edges, "
+            f"{self.charging_functions} charging, {self.sources_checked} "
+            f"byte-moving sites checked, {len(self.waivers)} waiver(s)"
+        )
 
 
 # ======================================================================
 # Analysis driver
 # ======================================================================
 def analyze(
-    root: Optional[str] = None,
-    package: str = "repro",
-    exempt: Sequence[str] = EXEMPT_MODULES,
+    index: ProgramIndex, exempt: Sequence[str] = EXEMPT_MODULES
 ) -> CostflowReport:
-    root = root or repo_root()
-    program = Program(package)
-    waivers = WaiverSet(tool="costflow")
-    from repro.check.arch import _module_name  # same naming scheme
+    """Run the must-charge analysis over ``index``'s call graph.
 
-    sources_bytes: Dict[str, bytes] = {}
-    for full, rel in _walk_repo(root):
-        with open(full, "rb") as fh:
-            source = fh.read()
-        sources_bytes[full] = source
-        module = _module_name(rel, package)
-        program.index_module(module, full, ast.parse(source, filename=full))
-        scan_waivers(full, source, "costflow", waivers)
-
-    program.link_hierarchy()
-    program.type_attributes()
-
-    # Module-level singletons (DEFAULT_COSTS = CostModel() and friends).
-    for mod in program.modules.values():
-        pseudo = FuncInfo(
-            key=f"{mod.name}:<module>",
-            module=mod.name,
-            qualname="<module>",
-            path=mod.path,
-            line=0,
-            node=ast.parse(""),
-        )
-        for name in list(mod.global_types):
-            mod.global_types[name] = _EMPTY
-        # re-evaluate with full class knowledge
-        tree = ast.parse(sources_bytes[mod.path])
-        for stmt in tree.body:
-            if (
-                isinstance(stmt, ast.Assign)
-                and len(stmt.targets) == 1
-                and isinstance(stmt.targets[0], ast.Name)
-                and isinstance(stmt.value, ast.Call)
-            ):
-                direct, _ = program._eval(stmt.value, pseudo, {})
-                if direct:
-                    mod.global_types[stmt.targets[0].id] = frozenset(
-                        k[len("type:") :] if k.startswith("type:") else k
-                        for k in direct
-                    )
-
-    # Walk every function body.
-    for func in program.functions.values():
-        walker = _BodyWalker(program, func, exempt)
-        for stmt in getattr(func.node, "body", []):
-            walker.visit(stmt)
-
+    Unlike the other passes this one takes no default index: the index
+    module builds this module's :class:`Program`, so loading one from
+    here would be an import cycle."""
+    program = index.program
+    waivers = index.waivers("costflow")
     report = CostflowReport()
     report.functions = len(program.functions)
     report.call_edges = sum(len(f.calls) for f in program.functions.values())
@@ -863,31 +855,9 @@ def analyze(
                 )
             )
 
-    # -- waiver hygiene -------------------------------------------------
-    for waiver in waivers.empty_reason():
-        report.violations.append(
-            Violation(
-                waiver.path,
-                waiver.line,
-                "unused-waiver",
-                "costflow waiver has an empty justification — say *why* "
-                "the byte move needs no charge",
-            )
-        )
-    for waiver in waivers.unused():
-        if not waiver.reason.strip():
-            continue
-        report.violations.append(
-            Violation(
-                waiver.path,
-                waiver.line,
-                "unused-waiver",
-                f"costflow waiver allow[{waiver.reason}] suppresses "
-                "nothing — delete it (dead waivers mask future findings)",
-            )
-        )
-    report.waivers = [w.render() for w in waivers.used()]
-    report.violations.sort(key=lambda v: (v.path, v.line, v.rule))
+    report.waivers = waivers.finish(
+        report.violations, "the byte move needs no charge", masks="findings"
+    )
     return report
 
 
@@ -900,90 +870,30 @@ def _coverage(
     """Least fixpoint of: covered(f) = charges(f) or (f has callers and
     every non-exempt caller is covered), computed on the SCC
     condensation of the caller graph so recursion does not self-block."""
-    # Build SCCs over the call graph (edges: caller -> callee).
     keys = list(program.functions)
-    index_of = {k: i for i, k in enumerate(keys)}
-    scc_id = _tarjan(keys, lambda k: program.functions[k].calls & set(index_of))
-    members: Dict[int, List[str]] = {}
-    for key, cid in scc_id.items():
-        members.setdefault(cid, []).append(key)
+    comps = sccs(keys, lambda k: program.functions[k].calls & program.functions.keys())
+    scc_id = {key: cid for cid, comp in enumerate(comps) for key in comp}
     # Condensed caller relation: callers of an SCC are the SCCs of
     # callers of its members, excluding itself.
-    comp_callers: Dict[int, Set[int]] = {cid: set() for cid in members}
+    comp_callers: List[Set[int]] = [set() for _ in comps]
     for key in keys:
         for caller in callers.get(key, ()):
             a, b = scc_id[caller], scc_id[key]
             if a != b:
                 comp_callers[b].add(a)
-    comp_charges = {
-        cid: any(m in charges for m in ms) for cid, ms in members.items()
-    }
-    comp_exempt_only = {
-        cid: all(m in exempt_funcs for m in ms) for cid, ms in members.items()
-    }
-    covered_comp: Dict[int, bool] = {
-        cid: comp_charges[cid] for cid in members
-    }
+    comp_exempt_only = [all(m in exempt_funcs for m in comp) for comp in comps]
+    covered_comp = [any(m in charges for m in comp) for comp in comps]
     changed = True
     while changed:
         changed = False
-        for cid in members:
+        for cid, pres in enumerate(comp_callers):
             if covered_comp[cid]:
                 continue
-            pres = comp_callers[cid]
             live = [p for p in pres if not comp_exempt_only[p]]
             if pres and all(covered_comp[p] or comp_exempt_only[p] for p in pres) and live:
                 covered_comp[cid] = True
                 changed = True
     return {key: covered_comp[scc_id[key]] for key in keys}
-
-
-def _tarjan(keys: List[str], succ) -> Dict[str, int]:
-    """SCC ids (iterative Tarjan) over ``keys`` with successor function."""
-    index: Dict[str, int] = {}
-    low: Dict[str, int] = {}
-    on_stack: Dict[str, bool] = {}
-    stack: List[str] = []
-    result: Dict[str, int] = {}
-    counter = [0]
-    comp = [0]
-    for root in keys:
-        if root in index:
-            continue
-        work = [(root, iter(sorted(succ(root))))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(sorted(succ(w)))))
-                    advanced = True
-                    break
-                elif on_stack.get(w):
-                    low[node] = min(low[node], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    result[w] = comp[0]
-                    if w == node:
-                        break
-                comp[0] += 1
-    return result
 
 
 def _witness_chain(
@@ -1012,40 +922,3 @@ def _witness_chain(
     if not callers.get(chain[-1]):
         rendered += " <- (entry: no callers charge upstream)"
     return rendered
-
-
-# ----------------------------------------------------------------------
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point used by ``python -m repro.check costflow``."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.check costflow",
-        description="Interprocedural must-charge analysis for repro",
-    )
-    parser.add_argument(
-        "--format", choices=("text", "json"), default="text", dest="fmt"
-    )
-    args = parser.parse_args(argv)
-    report = analyze()
-    if args.fmt == "json":
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-        return 0 if report.ok else 1
-    for rendered in report.waivers:
-        print(f"waived: {rendered}")
-    for violation in report.violations:
-        print(violation.render())
-    if report.violations:
-        print(f"{len(report.violations)} cost-flow violation(s)")
-        return 1
-    print(
-        f"repro.check costflow: clean ({report.functions} functions, "
-        f"{report.call_edges} call edges, {report.charging_functions} "
-        f"charging, {report.sources_checked} byte-moving sites checked, "
-        f"{len(report.waivers)} waiver(s))"
-    )
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

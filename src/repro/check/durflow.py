@@ -57,15 +57,13 @@ arch/costflow/conc.
 from __future__ import annotations
 
 import ast
-import json
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.check import costflow
-from repro.check.arch import _module_name
 from repro.check.costflow import _is_exempt
-from repro.check.lint import Violation, _walk_repo, repo_root
-from repro.check.waivers import WaiverSet, scan_waivers
+from repro.check.index import ProgramIndex, load
+from repro.check.waivers import Findings, Violation
 
 #: Every rule this analyzer can report.
 RULES = (
@@ -240,27 +238,18 @@ class DurflowReport:
             "coordinators": self.coordinators,
             "recovery_reachable": self.recovery_reachable,
             "order_graph": self.order_graph.to_dict(),
-            "violations": [
-                {"path": v.path, "line": v.line, "rule": v.rule, "message": v.message}
-                for v in self.violations
-            ],
+            "violations": [v.to_dict() for v in self.violations],
             "waivers": list(self.waivers),
         }
 
-
-class _Findings:
-    """Finding accumulator deduplicated on (path, line, rule)."""
-
-    def __init__(self) -> None:
-        self.items: List[Tuple[str, int, str, str]] = []
-        self._seen: Set[Tuple[str, int, str]] = set()
-
-    def add(self, path: str, line: int, rule: str, message: str) -> None:
-        key = (path, line, rule)
-        if key in self._seen:
-            return
-        self._seen.add(key)
-        self.items.append((path, line, rule, message))
+    def summary(self) -> str:
+        return (
+            f"{self.functions} functions, {self.effect_sites} durable-"
+            f"effect site(s), {self.barrier_sites} barrier site(s), "
+            f"{len(self.order_graph.edges)} order edge(s), "
+            f"{self.entries_checked} durability entr(y/ies), "
+            f"{self.coordinators} coordinator(s), {len(self.waivers)} waiver(s)"
+        )
 
 
 # ======================================================================
@@ -460,7 +449,7 @@ class _Analyzer:
         self,
         program,
         report: DurflowReport,
-        findings: _Findings,
+        findings: Findings,
         exempt: Sequence[str],
         recovery: Set[str],
     ) -> None:
@@ -1042,32 +1031,20 @@ def _chain(program, parent: Dict[str, Optional[str]], key: str) -> str:
 # Driver
 # ======================================================================
 def analyze(
-    root: Optional[str] = None,
-    package: str = "repro",
+    index: Optional[ProgramIndex] = None,
     exempt: Sequence[str] = EXEMPT_MODULES,
 ) -> DurflowReport:
-    root = root or repo_root()
-    program = costflow.Program(package)
-    waivers = WaiverSet(tool="durflow")
-    for full, rel in _walk_repo(root):
-        with open(full, "rb") as fh:
-            source = fh.read()
-        module = _module_name(rel, package)
-        program.index_module(module, full, ast.parse(source, filename=full))
-        scan_waivers(full, source, "durflow", waivers)
-    program.link_hierarchy()
-    program.type_attributes()
-
-    # Populate func.calls (the reachability graph) with costflow's
-    # walker — same typed resolution the interpreter uses.
-    for func in program.functions.values():
-        walker = costflow._BodyWalker(program, func, exempt)
-        for stmt in getattr(func.node, "body", []):
-            walker.visit(stmt)
+    """Run the durability-ordering analysis over one indexed tree
+    (default: a fresh index of ``src/repro``)."""
+    if index is None:
+        index = load()
+    program = index.program
+    package = index.package
+    waivers = index.waivers("durflow")
 
     report = DurflowReport()
     report.functions = len(program.functions)
-    findings = _Findings()
+    findings = Findings()
 
     recovery = _recovery_set(program, package)
     report.recovery_reachable = len(recovery)
@@ -1096,121 +1073,8 @@ def analyze(
             )
 
     # Waivers apply to every finding by (path, line).
-    for path, line, rule, message in findings.items:
-        if waivers.consume(path, line) is not None:
-            continue
-        report.violations.append(Violation(path, line, rule, message))
-
-    # Waiver hygiene.
-    for waiver in waivers.empty_reason():
-        report.violations.append(
-            Violation(
-                waiver.path,
-                waiver.line,
-                "unused-waiver",
-                "durflow waiver has an empty justification — say *why* "
-                "the ordering exception is sound",
-            )
-        )
-    for waiver in waivers.unused():
-        if not waiver.reason.strip():
-            continue
-        report.violations.append(
-            Violation(
-                waiver.path,
-                waiver.line,
-                "unused-waiver",
-                f"durflow waiver allow[{waiver.reason}] suppresses "
-                "nothing — delete it (dead waivers mask future "
-                "violations)",
-            )
-        )
-    report.waivers = [w.render() for w in waivers.used()]
-    report.violations.sort(key=lambda v: (v.path, v.line, v.rule))
+    report.violations = findings.unwaived(waivers)
+    report.waivers = waivers.finish(
+        report.violations, "the ordering exception is sound"
+    )
     return report
-
-
-def write_graph(report: DurflowReport, prefix: str) -> List[str]:
-    """Write ``prefix.json`` + ``prefix.dot``; returns the paths."""
-    json_path, dot_path = f"{prefix}.json", f"{prefix}.dot"
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(report.order_graph.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(dot_path, "w", encoding="utf-8") as fh:
-        fh.write(report.order_graph.to_dot())
-    return [json_path, dot_path]
-
-
-def load_baseline(path: str) -> Set[Tuple[str, str]]:
-    """Committed-baseline entries as ``(rule, path)`` pairs; paths are
-    repo-relative and matched as suffixes (see conc)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return {(f["rule"], f["path"]) for f in data.get("findings", [])}
-
-
-def _is_baselined(v: Violation, known: Set[Tuple[str, str]]) -> bool:
-    return any(
-        rule == v.rule and (v.path == bpath or v.path.endswith("/" + bpath))
-        for rule, bpath in known
-    )
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point used by ``python -m repro.check durflow``."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.check durflow",
-        description="Whole-program static durability-ordering analysis",
-    )
-    parser.add_argument("--graph-out", help="write PREFIX.json + PREFIX.dot")
-    parser.add_argument(
-        "--format", choices=("text", "json"), default="text", dest="fmt"
-    )
-    parser.add_argument(
-        "--baseline",
-        help="JSON baseline of known findings; fail only on new ones",
-    )
-    args = parser.parse_args(argv)
-    report = analyze()
-    if args.graph_out:
-        for path in write_graph(report, args.graph_out):
-            print(f"wrote {path}")
-    known: Set[Tuple[str, str]] = set()
-    if args.baseline:
-        try:
-            known = load_baseline(args.baseline)
-        except (OSError, ValueError) as exc:
-            print(f"repro.check durflow: bad baseline: {exc}")
-            return 2
-    fresh = [v for v in report.violations if not _is_baselined(v, known)]
-    baselined = len(report.violations) - len(fresh)
-    if args.fmt == "json":
-        payload = report.to_dict()
-        payload["new_violations"] = len(fresh)
-        payload["baselined"] = baselined
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return 1 if fresh else 0
-    for rendered in report.waivers:
-        print(f"waived: {rendered}")
-    for violation in fresh:
-        print(violation.render())
-    if fresh:
-        print(f"{len(fresh)} durability violation(s)")
-        return 1
-    graph = report.order_graph
-    suffix = f", {baselined} baselined" if baselined else ""
-    print(
-        f"repro.check durflow: clean "
-        f"({report.functions} functions, {report.effect_sites} durable-"
-        f"effect site(s), {report.barrier_sites} barrier site(s), "
-        f"{len(graph.edges)} order edge(s), {report.entries_checked} "
-        f"durability entr(y/ies), {report.coordinators} coordinator(s), "
-        f"{len(report.waivers)} waiver(s){suffix})"
-    )
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

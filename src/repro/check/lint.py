@@ -34,20 +34,32 @@ test suite cannot see:
   typed :class:`~repro.check.errors.CheckError` subclass instead.
 
 ``python -m repro.check lint`` (exit 0 = clean) additionally runs the
-whole-program analyses — :mod:`repro.check.arch` (layer manifest +
-import cycles) and :mod:`repro.check.costflow` (must-charge
-reachability) — and merges their findings; ``--format json`` emits a
-machine-readable report and ``--graph-out PREFIX`` archives the import
-graph for CI.
+four whole-program analyses — :mod:`repro.check.arch` (layer manifest +
+import cycles), :mod:`repro.check.costflow` (must-charge reachability),
+:mod:`repro.check.conc` (concurrency disciplines) and
+:mod:`repro.check.durflow` (durability ordering) — over one shared
+:mod:`repro.check.index` and merges their findings; ``--format json``
+emits a machine-readable report and ``--graph-out PREFIX`` archives the
+import graph for CI.
+
+This module is also the one CLI driver: ``python -m repro.check arch``,
+``costflow``, ``conc`` and ``durflow`` run one analysis alone through
+:func:`run_pass`, which owns graph output and baselines for all four.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import json
 import os
-from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from types import ModuleType
+from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+
+from repro.check import arch, conc, costflow, durflow
+# repo_root is re-exported: callers use lint.repo_root().
+from repro.check.index import ProgramIndex, load, repo_root, walk
+from repro.check.waivers import Violation
 
 #: All rule identifiers, in reporting order.
 RULES = (
@@ -147,28 +159,6 @@ _DEVICE_LAYER_FILES = {"workloads/aging.py", "harness/ftl.py"}
 DEFAULT_ALLOWLIST: Set[Tuple[str, str]] = {
     ("obs/prof.py", "wall-clock"),
 }
-
-
-@dataclass
-class Violation:
-    """One lint finding."""
-
-    path: str
-    line: int
-    rule: str
-    message: str
-
-    def render(self) -> str:
-        return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
-
-
-def _attr_chain_root(node: ast.expr) -> Optional[str]:
-    """Name at the root of an attribute chain (``a.b.c`` -> ``a``)."""
-    while isinstance(node, ast.Attribute):
-        node = node.value
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
 
 
 class _Linter(ast.NodeVisitor):
@@ -364,17 +354,13 @@ class _Linter(ast.NodeVisitor):
 
 
 # ----------------------------------------------------------------------
-def repo_root() -> str:
-    """The ``src/repro`` package directory this lint defends."""
-    return os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
 def lint_file(
     path: str,
     relpath: Optional[str] = None,
     serialization_path: Optional[bool] = None,
+    tree: Optional[ast.AST] = None,
 ) -> List[Violation]:
-    """Lint one file.
+    """Lint one file (parsed here unless ``tree`` is given).
 
     ``relpath`` is the path relative to the ``repro`` package, used for
     the per-layer rules; explicit standalone files (fixtures) get the
@@ -386,37 +372,35 @@ def lint_file(
             serialization_path = True  # standalone file: strictest profile
     if serialization_path is None:
         serialization_path = relpath in SERIALIZATION_PATHS
-    with open(path, "rb") as fh:
-        source = fh.read()
-    tree = ast.parse(source, filename=path)
+    if tree is None:
+        with open(path, "rb") as fh:
+            tree = ast.parse(fh.read(), filename=path)
     linter = _Linter(path, relpath.replace(os.sep, "/"), serialization_path)
     linter.visit(tree)
     linter.violations.sort(key=lambda v: (v.line, v.rule))
     return linter.violations
 
 
-def _walk_repo(root: str) -> Iterable[Tuple[str, str]]:
-    for dirpath, dirnames, filenames in os.walk(root):
-        dirnames[:] = sorted(d for d in dirnames if d != "__pycache__")
-        for name in sorted(filenames):
-            if name.endswith(".py"):
-                full = os.path.join(dirpath, name)
-                rel = os.path.relpath(full, root).replace(os.sep, "/")
-                yield full, rel
-
-
-def lint_repo(
-    root: Optional[str] = None, use_allowlist: bool = True
+def _lint_files(
+    files: Iterable[Tuple[str, str, Optional[ast.AST]]], use_allowlist: bool
 ) -> List[Violation]:
-    """Lint every module under ``src/repro`` (or ``root``)."""
-    root = root or repo_root()
     violations: List[Violation] = []
-    for full, rel in _walk_repo(root):
-        found = lint_file(full, relpath=rel)
+    for path, rel, tree in files:
+        found = lint_file(path, relpath=rel, tree=tree)
         if use_allowlist:
             found = [v for v in found if (rel, v.rule) not in DEFAULT_ALLOWLIST]
         violations.extend(found)
     return violations
+
+
+def lint_repo(
+    index: Optional[ProgramIndex] = None, use_allowlist: bool = True
+) -> List[Violation]:
+    """Lint every module of ``index`` (default: a fresh index of
+    ``src/repro``)."""
+    if index is None:
+        index = load()
+    return _lint_files(((f.path, f.rel, f.tree) for f in index.files), use_allowlist)
 
 
 def lint_paths(
@@ -426,27 +410,82 @@ def lint_paths(
     violations: List[Violation] = []
     for path in paths:
         if os.path.isdir(path):
-            violations.extend(lint_repo(path, use_allowlist=use_allowlist))
+            violations.extend(
+                _lint_files(((f, r, None) for f, r in walk(path)), use_allowlist)
+            )
         else:
             violations.extend(lint_file(path))
     return violations
 
 
+# ----------------------------------------------------------------------
+# The CLI driver
+# ----------------------------------------------------------------------
+class _Pass(NamedTuple):
+    module: ModuleType
+    description: str
+    noun: str  # of the failure line: "N <noun> violation(s)"
+    graph: Optional[Callable]  # report -> the graph --graph-out writes
+    baseline: bool  # takes --baseline
+    figures: Callable  # report -> its figures in the lint JSON report
+
+
+#: The whole-program passes, in the order a bare ``lint`` run composes
+#: them; each also runs alone as ``python -m repro.check <name>``.
+PASSES = {
+    "arch": _Pass(
+        arch, "Layer-DAG architecture check for the repro codebase",
+        "architecture", lambda r: r, False,
+        lambda r: {"modules": len(r.modules), "edges": len(r.edges)},
+    ),
+    "costflow": _Pass(
+        costflow, "Interprocedural must-charge analysis for repro",
+        "cost-flow", None, False,
+        lambda r: {
+            "functions": r.functions,
+            "call_edges": r.call_edges,
+            "charging_functions": r.charging_functions,
+            "sources_checked": r.sources_checked,
+        },
+    ),
+    "conc": _Pass(
+        conc, "Whole-program static concurrency analysis",
+        "concurrency", lambda r: r.lock_graph, True,
+        lambda r: {
+            "acquire_sites": r.acquire_sites,
+            "lock_classes": len(r.lock_graph.nodes),
+            "lock_edges": len(r.lock_graph.edges),
+            "signal_sites": r.signal_sites,
+            "reachable_from_session": r.reachable,
+        },
+    ),
+    "durflow": _Pass(
+        durflow, "Whole-program static durability-ordering analysis",
+        "durability", lambda r: r.order_graph, True,
+        lambda r: {
+            "effect_sites": r.effect_sites,
+            "barrier_sites": r.barrier_sites,
+            "order_edges": len(r.order_graph.edges),
+            "entries_checked": r.entries_checked,
+            "coordinators": r.coordinators,
+        },
+    ),
+}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point used by ``python -m repro.check lint``.
 
-    A bare ``lint`` run composes five passes over ``src/repro``: the
-    per-file purity lint, the :mod:`repro.check.arch` layer/import
-    analysis, the :mod:`repro.check.costflow` must-charge analysis,
-    the :mod:`repro.check.conc` static concurrency analysis, and the
-    :mod:`repro.check.durflow` durability-ordering analysis.  Explicit
-    ``paths`` run only the per-file lint (the whole-program analyses
-    need the whole program).  The summary line carries a per-pass
-    finding count and the exit code is nonzero on any finding from
-    any pass.
+    A bare ``lint`` run indexes ``src/repro`` once and composes five
+    passes over it: the per-file purity lint, the :mod:`repro.check.arch`
+    layer/import analysis, the :mod:`repro.check.costflow` must-charge
+    analysis, the :mod:`repro.check.conc` static concurrency analysis,
+    and the :mod:`repro.check.durflow` durability-ordering analysis.
+    Explicit ``paths`` run only the per-file lint (the whole-program
+    analyses need the whole program).  The summary line carries a
+    per-pass finding count and the exit code is nonzero on any finding
+    from any pass.
     """
-    import argparse
-
     parser = argparse.ArgumentParser(
         prog="python -m repro.check lint",
         description="Simulation-purity lint + whole-program analyses",
@@ -473,75 +512,27 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         metavar="PREFIX",
         help="write the arch import graph to PREFIX.json + PREFIX.dot",
     )
-    parser.add_argument(
-        "--no-analyses",
-        action="store_true",
-        help="skip the whole-program arch/costflow passes (AST lint only)",
-    )
     args = parser.parse_args(argv)
 
+    waivers: List[str] = []
+    extra: dict = {}
     passes: Optional[dict] = None
     if args.paths:
         violations = lint_paths(args.paths, use_allowlist=not args.no_allowlist)
-        waivers: List[str] = []
-        extra: dict = {}
     else:
-        violations = lint_repo(use_allowlist=not args.no_allowlist)
-        waivers = []
-        extra = {}
-        if not args.no_analyses:
-            passes = {"lint": len(violations)}
-            from repro.check import arch  # arch: allow[CLI composes the analyses; lazy import keeps module load acyclic]
-            from repro.check import costflow  # arch: allow[CLI composes the analyses; lazy import keeps module load acyclic]
-
-            arch_report = arch.analyze()
-            passes["arch"] = len(arch_report.violations)
-            violations.extend(arch_report.violations)
-            waivers.extend(arch_report.waivers)
-            extra["arch"] = {
-                "modules": len(arch_report.modules),
-                "edges": len(arch_report.edges),
-            }
-            if args.graph_out:
-                extra["graph_files"] = arch.write_graph(
-                    arch_report, args.graph_out
-                )
-            cost_report = costflow.analyze()
-            passes["costflow"] = len(cost_report.violations)
-            violations.extend(cost_report.violations)
-            waivers.extend(cost_report.waivers)
-            extra["costflow"] = {
-                "functions": cost_report.functions,
-                "call_edges": cost_report.call_edges,
-                "charging_functions": cost_report.charging_functions,
-                "sources_checked": cost_report.sources_checked,
-            }
-            from repro.check import conc  # arch: allow[CLI composes the analyses; lazy import keeps module load acyclic]
-
-            conc_report = conc.analyze()
-            passes["conc"] = len(conc_report.violations)
-            violations.extend(conc_report.violations)
-            waivers.extend(conc_report.waivers)
-            extra["conc"] = {
-                "acquire_sites": conc_report.acquire_sites,
-                "lock_classes": len(conc_report.lock_graph.nodes),
-                "lock_edges": len(conc_report.lock_graph.edges),
-                "signal_sites": conc_report.signal_sites,
-                "reachable_from_session": conc_report.reachable,
-            }
-            from repro.check import durflow  # arch: allow[CLI composes the analyses; lazy import keeps module load acyclic]
-
-            dur_report = durflow.analyze()
-            passes["durflow"] = len(dur_report.violations)
-            violations.extend(dur_report.violations)
-            waivers.extend(dur_report.waivers)
-            extra["durflow"] = {
-                "effect_sites": dur_report.effect_sites,
-                "barrier_sites": dur_report.barrier_sites,
-                "order_edges": len(dur_report.order_graph.edges),
-                "entries_checked": dur_report.entries_checked,
-                "coordinators": dur_report.coordinators,
-            }
+        index = load()
+        violations = lint_repo(index, use_allowlist=not args.no_allowlist)
+        passes = {"lint": len(violations)}
+        for name, spec in PASSES.items():
+            # Called through the module attribute, so a wrapped
+            # ``analyze`` (the benchmark's spans) is the one that runs.
+            report = spec.module.analyze(index)
+            passes[name] = len(report.violations)
+            violations.extend(report.violations)
+            waivers.extend(report.waivers)
+            extra[name] = spec.figures(report)
+            if name == "arch" and args.graph_out:
+                extra["graph_files"] = write_graph(report, args.graph_out)
 
     violations.sort(key=lambda v: (v.path, v.line, v.rule))
     per_pass = (
@@ -552,10 +543,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.fmt == "json":
         payload = {
             "ok": not violations,
-            "violations": [
-                {"path": v.path, "line": v.line, "rule": v.rule, "message": v.message}
-                for v in violations
-            ],
+            "violations": [v.to_dict() for v in violations],
             "waivers": waivers,
         }
         if passes is not None:
@@ -572,3 +560,85 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     print(f"repro.check lint: clean{per_pass}")
     return 0
+
+
+def run_pass(name: str, argv: Optional[Sequence[str]] = None) -> int:
+    """CLI entry point used by ``python -m repro.check <name>``: one
+    whole-program analysis alone, same exit-code contract as ``lint``
+    (2 on a bad baseline)."""
+    spec = PASSES[name]
+    parser = argparse.ArgumentParser(
+        prog=f"python -m repro.check {name}", description=spec.description
+    )
+    if spec.graph is not None:
+        parser.add_argument("--graph-out", help="write PREFIX.json + PREFIX.dot")
+    parser.add_argument(
+        "--format", choices=("text", "json"), default="text", dest="fmt"
+    )
+    if spec.baseline:
+        parser.add_argument(
+            "--baseline",
+            help="JSON baseline of known findings; fail only on new ones",
+        )
+    args = parser.parse_args(argv)
+    report = spec.module.analyze(load())
+    if getattr(args, "graph_out", None):
+        for path in write_graph(spec.graph(report), args.graph_out):
+            print(f"wrote {path}")
+    known: Set[Tuple[str, str]] = set()
+    if getattr(args, "baseline", None):
+        try:
+            known = load_baseline(args.baseline)
+        except (OSError, ValueError) as exc:
+            print(f"repro.check {name}: bad baseline: {exc}")
+            return 2
+    fresh = [v for v in report.violations if not _is_baselined(v, known)]
+    baselined = len(report.violations) - len(fresh)
+    if args.fmt == "json":
+        payload = report.to_dict()
+        if spec.baseline:
+            payload["new_violations"] = len(fresh)
+            payload["baselined"] = baselined
+        print(json.dumps(payload, indent=2, sort_keys=True))
+        return 1 if fresh else 0
+    for rendered in report.waivers:
+        print(f"waived: {rendered}")
+    for violation in fresh:
+        print(violation.render())
+    if fresh:
+        print(f"{len(fresh)} {spec.noun} violation(s)")
+        return 1
+    suffix = f", {baselined} baselined" if baselined else ""
+    print(f"repro.check {name}: clean ({report.summary()}{suffix})")
+    return 0
+
+
+def write_graph(graph, prefix: str) -> List[str]:
+    """Write ``graph.to_dict()`` to ``prefix.json`` and ``graph.to_dot()``
+    to ``prefix.dot``; returns the paths."""
+    json_path, dot_path = f"{prefix}.json", f"{prefix}.dot"
+    with open(json_path, "w", encoding="utf-8") as fh:
+        json.dump(graph.to_dict(), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    with open(dot_path, "w", encoding="utf-8") as fh:
+        fh.write(graph.to_dot())
+    return [json_path, dot_path]
+
+
+def load_baseline(path: str) -> Set[Tuple[str, str]]:
+    """Committed-baseline entries as ``(rule, path)`` pairs.
+
+    Baseline paths are repo-relative and matched as path suffixes, and
+    line numbers are not part of the key — so a committed baseline
+    survives checkouts at other prefixes and unrelated edits above the
+    finding."""
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    return {(f["rule"], f["path"]) for f in data.get("findings", [])}
+
+
+def _is_baselined(v: Violation, known: Set[Tuple[str, str]]) -> bool:
+    return any(
+        rule == v.rule and (v.path == bpath or v.path.endswith("/" + bpath))
+        for rule, bpath in known
+    )

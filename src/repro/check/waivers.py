@@ -1,4 +1,4 @@
-"""Inline waiver comments for the whole-program analyses.
+"""Findings and inline waiver comments shared by every checker pass.
 
 A finding from :mod:`repro.check.arch`, :mod:`repro.check.costflow`,
 :mod:`repro.check.conc` or :mod:`repro.check.durflow` can be suppressed — *one finding, one line, one reason* — with an
@@ -21,13 +21,56 @@ import io
 import re
 import tokenize
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set, Tuple
 
 #: ``# <tool>: allow[reason]`` — tool is ``arch``, ``costflow``,
 #: ``conc`` or ``durflow``.
 _WAIVER_RE = re.compile(
     r"#\s*(arch|costflow|conc|durflow):\s*allow\[([^\]]*)\]"
 )
+
+
+@dataclass
+class Violation:
+    """One finding of any pass."""
+
+    path: str
+    line: int
+    rule: str
+    message: str
+
+    def render(self) -> str:
+        return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
+
+    def to_dict(self) -> Dict[str, object]:
+        return {"path": self.path, "line": self.line, "rule": self.rule, "message": self.message}
+
+
+class Findings:
+    """Finding accumulator deduplicated on (path, line, rule); waivers
+    are applied once the pass has seen the whole program."""
+
+    def __init__(self) -> None:
+        self.items: List[Tuple[str, int, str, str]] = []
+        self._seen: Set[Tuple[str, int, str]] = set()
+
+    def add(self, path: str, line: int, rule: str, message: str) -> None:
+        key = (path, line, rule)
+        if key in self._seen:
+            return
+        self._seen.add(key)
+        self.items.append((path, line, rule, message))
+
+    def unwaived(
+        self, waivers: "WaiverSet", prewaived: Tuple[str, ...] = ()
+    ) -> List[Violation]:
+        """Every finding no waiver on its line covers.  Rules in
+        ``prewaived`` had their waivers applied by the pass already."""
+        return [
+            Violation(path, line, rule, message)
+            for path, line, rule, message in self.items
+            if rule in prewaived or waivers.consume(path, line) is None
+        ]
 
 
 @dataclass
@@ -68,27 +111,42 @@ class WaiverSet:
             for _, w in sorted(per_line.items())
         ]
 
-    def used(self) -> List[Waiver]:
-        return [w for w in self.all() if w.used]
+    def finish(
+        self, violations: List[Violation], why: str, masks: str = "violations"
+    ) -> List[str]:
+        """Close a pass: append the hygiene findings to ``violations``
+        (an empty reason must say *why* ``why``; a waiver nothing
+        consumed masks future ``masks``), sort them, and return the
+        used waivers rendered for the report."""
+        for w in self.all():
+            if not w.reason.strip():
+                message = (
+                    f"{self.tool} waiver has an empty justification — "
+                    f"say *why* {why}"
+                )
+            elif not w.used:
+                message = (
+                    f"{self.tool} waiver allow[{w.reason}] suppresses "
+                    f"nothing — delete it (dead waivers mask future {masks})"
+                )
+            else:
+                continue
+            violations.append(Violation(w.path, w.line, "unused-waiver", message))
+        violations.sort(key=lambda v: (v.path, v.line, v.rule))
+        return [w.render() for w in self.all() if w.used]
 
-    def unused(self) -> List[Waiver]:
-        return [w for w in self.all() if not w.used]
 
-    def empty_reason(self) -> List[Waiver]:
-        return [w for w in self.all() if not w.reason.strip()]
-
-
-def scan_waivers(path: str, source: bytes, tool: str, into: WaiverSet) -> None:
-    """Collect every ``# tool: allow[...]`` comment of ``source``.
+def scan_waivers(source: bytes) -> List[Tuple[int, str, str]]:
+    """Every ``# tool: allow[...]`` comment of ``source`` as
+    ``(line, tool, reason)``.
 
     Tokenized, not line-scanned: the marker text may legitimately appear
     inside docstrings and message strings (this package documents its
     own waiver syntax), and only a real comment grants a waiver.
     """
-    for tok in tokenize.tokenize(io.BytesIO(source).readline):
-        if tok.type != tokenize.COMMENT:
-            continue
-        for match in _WAIVER_RE.finditer(tok.string):
-            if match.group(1) != tool:
-                continue
-            into.add(Waiver(path, tok.start[0], tool, match.group(2)))
+    return [
+        (tok.start[0], match.group(1), match.group(2))
+        for tok in tokenize.tokenize(io.BytesIO(source).readline)
+        if tok.type == tokenize.COMMENT
+        for match in _WAIVER_RE.finditer(tok.string)
+    ]

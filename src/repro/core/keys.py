@@ -82,15 +82,6 @@ def dir_subtree_range(path: str) -> Tuple[bytes, bytes]:
     return prefix_range(dir_children_prefix(path))
 
 
-def dir_immediate_range(path: str) -> Tuple[bytes, bytes]:
-    """Meta-index range over which a readdir of ``path`` scans.
-
-    This is the full subtree range; readdir filters to direct children
-    (full-path keys interleave descendants with children).
-    """
-    return prefix_range(dir_children_prefix(path))
-
-
 def is_direct_child(parent: str, path: str) -> bool:
     """True if ``path`` is an immediate child of directory ``parent``."""
     prefix = parent if parent.endswith("/") else parent + "/"

@@ -401,14 +401,6 @@ class InternalNode(Node):
         j = bisect.bisect_left(keys, hi) if hi is not None else len(keys)
         return keys[i:j]
 
-    def take_buffer(self) -> List[Message]:
-        msgs = self.buffer
-        self.buffer = []
-        self.buffer_bytes = 0
-        self.point_index = {}
-        self.range_msgs = []
-        return msgs
-
     def set_buffer(self, msgs: List[Message]) -> None:
         self.buffer = msgs
         self.buffer_bytes = sum(m.nbytes() for m in msgs)
@@ -434,15 +426,6 @@ class InternalNode(Node):
             if rng.covers_key(key):
                 out.append(rng)
         return out
-
-    def pending_bytes_for_child(self, idx: int) -> int:
-        """Bytes of buffered messages routed to child ``idx``."""
-        lo, hi = self.child_range(idx)
-        total = 0
-        for msg in self.buffer:
-            if self._routes_to(msg, lo, hi):
-                total += msg.nbytes()
-        return total
 
     @staticmethod
     def _routes_to(msg: Message, lo: Optional[bytes], hi: Optional[bytes]) -> bool:

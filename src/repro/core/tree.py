@@ -697,14 +697,6 @@ class BeTree:
             self.stats.aoq_moved += len(to_move)
 
     @staticmethod
-    def _key_in(key: bytes, lo: Optional[bytes], hi: Optional[bytes]) -> bool:
-        if lo is not None and key < lo:
-            return False
-        if hi is not None and key >= hi:
-            return False
-        return True
-
-    @staticmethod
     def _range_overlaps(
         msg: RangeDelete, lo: Optional[bytes], hi: Optional[bytes]
     ) -> bool:

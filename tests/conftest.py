@@ -1,7 +1,12 @@
 """Shared fixtures for the test suite."""
 
+import contextlib
+import io
+import json
+
 import pytest
 
+from repro.check import lint
 from repro.core.config import BeTreeConfig
 from repro.core.env import KVEnv
 from repro.device.block import BlockDevice
@@ -69,3 +74,30 @@ def env(ssd, small_config):
 @pytest.fixture
 def fast_env(null_device, small_config):
     return build_env(null_device, small_config)
+
+
+# ----------------------------------------------------------------------
+# Full-tree ``repro.check lint`` runs, shared by every test that checks
+# the real tree's composed report: one text run and one
+# ``--format json --graph-out`` run per session instead of one per test.
+# ----------------------------------------------------------------------
+def _run_lint(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = lint.main(argv)
+    return rc, out.getvalue()
+
+
+@pytest.fixture(scope="session")
+def lint_text_run():
+    """``(rc, stdout)`` of ``repro.check lint`` on the real tree."""
+    return _run_lint([])
+
+
+@pytest.fixture(scope="session")
+def lint_json_run(tmp_path_factory):
+    """``(rc, payload, prefix)`` of ``repro.check lint --format json
+    --graph-out PREFIX`` on the real tree."""
+    prefix = str(tmp_path_factory.mktemp("lint") / "import-graph")
+    rc, out = _run_lint(["--format", "json", "--graph-out", prefix])
+    return rc, json.loads(out), prefix

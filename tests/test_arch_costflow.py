@@ -9,12 +9,19 @@ Two families:
   violation is a regression introduced by the change under review.
 """
 
+import ast
+import collections
 import json
 import os
+import tokenize
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.check import arch, costflow, lint
+from repro.check.graph import cycles, sccs
+from repro.check.index import load, walk
 
 ARCH_TREE = os.path.join(os.path.dirname(__file__), "fixtures", "arch", "tree")
 FLOW_TREE = os.path.join(
@@ -31,11 +38,58 @@ FIX_MANIFEST = (
 
 
 def _arch_fixture_report():
-    return arch.analyze(root=ARCH_TREE, manifest=FIX_MANIFEST, package="fixpkg")
+    return arch.analyze(load(ARCH_TREE, "fixpkg"), manifest=FIX_MANIFEST)
 
 
 def _flow_fixture_report():
-    return costflow.analyze(root=FLOW_TREE, package="flowpkg", exempt=())
+    return costflow.analyze(load(FLOW_TREE, "flowpkg"), exempt=())
+
+
+# ======================================================================
+# The shared SCC helper
+# ======================================================================
+def _reaches(succ, src):
+    """Nodes reachable from ``src`` by one or more edges."""
+    seen, stack = set(), list(succ.get(src, ()))
+    while stack:
+        v = stack.pop()
+        if v not in seen:
+            seen.add(v)
+            stack.extend(succ.get(v, ()))
+    return seen
+
+
+class TestSccHelper:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        edges=st.lists(
+            st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=24
+        ),
+        roots=st.sets(st.integers(0, 7)),
+    )
+    def test_sccs_match_brute_force_mutual_reachability(self, edges, roots):
+        """Against brute force: the components partition every node
+        reachable from the roots, two nodes share one exactly when each
+        reaches the other, and ``cycles`` keeps the components with a
+        cycle through them (self-loops included)."""
+        succ = {}
+        for a, b in edges:
+            succ.setdefault(f"n{a}", []).append(f"n{b}")
+        nodes = {f"n{r}" for r in roots}
+        graph = nodes.union(*(_reaches(succ, v) for v in nodes))
+        reach = {v: _reaches(succ, v) for v in graph}
+        comps = sccs(nodes, lambda v: succ.get(v, []))
+        assert comps == sorted(comps)
+        assert all(c == sorted(c) for c in comps)
+        flat = [v for c in comps for v in c]
+        assert sorted(flat) == sorted(reach)
+        comp_of = {v: i for i, c in enumerate(comps) for v in c}
+        for u in reach:
+            for v in reach:
+                mutual = u == v or (v in reach[u] and u in reach[v])
+                assert (comp_of[u] == comp_of[v]) == mutual, (u, v)
+        expect = [c for c in comps if c[0] in reach[c[0]]]
+        assert cycles(nodes, lambda v: succ.get(v, [])) == expect
 
 
 # ======================================================================
@@ -93,7 +147,7 @@ class TestArchFixtures:
     def test_graph_export_round_trips(self, tmp_path):
         report = _arch_fixture_report()
         prefix = str(tmp_path / "graph")
-        files = arch.write_graph(report, prefix)
+        files = lint.write_graph(report, prefix)
         assert sorted(files) == sorted([prefix + ".json", prefix + ".dot"])
         with open(prefix + ".json") as fh:
             payload = json.load(fh)
@@ -112,9 +166,8 @@ class TestArchFixtures:
         (pkg / "a.py").write_text("import emptypkg.b  # arch: allow[]\n")
         (pkg / "b.py").write_text("VALUE = 1\n")
         report = arch.analyze(
-            root=str(pkg),
+            load(str(pkg), "emptypkg"),
             manifest=(("only", ("emptypkg.a", "emptypkg.b")),),
-            package="emptypkg",
         )
         assert any(
             v.rule == "unused-waiver" and "empty justification" in v.message
@@ -198,13 +251,13 @@ class TestCostflowFixtures:
 
 class TestCostflowRealTree:
     def test_real_tree_is_clean(self):
-        report = costflow.analyze()
+        report = costflow.analyze(load())
         assert report.ok, "\n".join(v.render() for v in report.violations)
 
     def test_analysis_actually_sees_the_program(self):
         """Guard against a silently degenerate analysis: the call graph
         and the sink/source sets must stay populated."""
-        report = costflow.analyze()
+        report = costflow.analyze(load())
         assert report.functions > 500
         assert report.call_edges > 800
         assert report.charging_functions > 100
@@ -215,27 +268,61 @@ class TestCostflowRealTree:
 # CLI composition
 # ======================================================================
 class TestCheckCli:
-    def test_lint_runs_all_three_passes_clean(self, capsys):
-        assert lint.main([]) == 0
-        out = capsys.readouterr().out
+    def test_lint_runs_all_three_passes_clean(self, lint_text_run):
+        rc, out = lint_text_run
+        assert rc == 0
         assert "clean" in out
 
-    def test_json_format_round_trips(self, capsys):
-        assert lint.main(["--format", "json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
+    def test_json_format_round_trips(self, lint_json_run):
+        rc, payload, _prefix = lint_json_run
+        assert rc == 0
         assert payload["ok"] is True
         assert payload["violations"] == []
         assert payload["arch"]["modules"] > 50
         assert payload["costflow"]["functions"] > 500
         assert all("allow[" in w for w in payload["waivers"])
 
-    def test_graph_out_writes_artifacts(self, capsys, tmp_path):
-        prefix = str(tmp_path / "import-graph")
-        assert lint.main(["--format", "json", "--graph-out", prefix]) == 0
-        payload = json.loads(capsys.readouterr().out)
+    def test_graph_out_writes_artifacts(self, lint_json_run):
+        rc, payload, prefix = lint_json_run
+        assert rc == 0
         assert payload["graph_files"] == [prefix + ".json", prefix + ".dot"]
         assert os.path.exists(prefix + ".json")
         assert os.path.exists(prefix + ".dot")
+
+    def test_lint_parses_and_tokenizes_each_file_once(self, capsys, monkeypatch):
+        """One ``lint`` run reads every module through one program
+        index: each file under ``src/repro`` goes through ``ast.parse``
+        once and ``tokenize.tokenize`` once; the only other parses are
+        of string annotations."""
+        parsed = collections.Counter()
+        annotation_parses = []
+        tokenized = collections.Counter()
+        real_parse, real_tokenize = ast.parse, tokenize.tokenize
+
+        def parse(source, filename="<unknown>", mode="exec", **kwargs):
+            if filename == "<unknown>":
+                annotation_parses.append(mode)
+            else:
+                parsed[filename] += 1
+            return real_parse(source, filename, mode, **kwargs)
+
+        def tokens(readline):
+            tokenized[readline.__self__.getvalue()] += 1
+            return real_tokenize(readline)
+
+        monkeypatch.setattr(ast, "parse", parse)
+        monkeypatch.setattr(tokenize, "tokenize", tokens)
+        assert lint.main([]) == 0
+        capsys.readouterr()
+        files = [path for path, _rel in walk(lint.repo_root())]
+        assert len(files) > 50
+        assert parsed == collections.Counter(files)
+        assert set(annotation_parses) == {"eval"}
+        contents = collections.Counter()
+        for path in files:
+            with open(path, "rb") as fh:
+                contents[fh.read()] += 1
+        assert tokenized == contents
 
     def test_subcommands_run_standalone(self, capsys):
         from repro.check.__main__ import main as check_main
@@ -251,6 +338,6 @@ class TestCheckCli:
         monkeypatch.setattr(
             costflow, "analyze", lambda *a, **k: fixture_report
         )
-        assert costflow.main([]) == 1
+        assert lint.run_pass("costflow", []) == 1
         out = capsys.readouterr().out
         assert "[uncharged-bytes]" in out

@@ -69,9 +69,10 @@ class TestLint:
         assert rc == 1
         assert "[wall-clock]" in out
 
-    def test_cli_exits_zero_on_repo(self, capsys):
-        assert lint.main([]) == 0
-        assert "clean" in capsys.readouterr().out
+    def test_cli_exits_zero_on_repo(self, lint_text_run):
+        rc, out = lint_text_run
+        assert rc == 0
+        assert "clean" in out
 
 
 # ======================================================================

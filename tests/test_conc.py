@@ -31,6 +31,7 @@ from hypothesis import strategies as st
 from repro.betrfs.filesystem import make_betrfs
 from repro.check import arch, conc, lint
 from repro.check.errors import SchedInvariantError
+from repro.check.index import load
 from repro.harness.mt import run_mt
 from repro.sched import Scheduler
 from repro.workloads.mailserver_mt import _folder_key
@@ -54,8 +55,7 @@ _CACHE = {}
 def _fixture_report():
     if "fixture" not in _CACHE:
         _CACHE["fixture"] = conc.analyze(
-            root=CONC_TREE,
-            package="concpkg",
+            load(CONC_TREE, "concpkg"),
             manifest=FIX_MANIFEST,
             signal_layers=FIX_SIGNALS,
         )
@@ -216,10 +216,12 @@ class TestRealTree:
             (e.src, e.dst) for e in graph.edges if not e.ordered
         ]
 
-    def test_lint_composes_conc(self):
-        """``repro.check lint`` runs the concurrency pass too (tentpole
-        wiring), and the composed run stays clean."""
-        assert lint.main([]) == 0
+    def test_lint_composes_conc(self, lint_text_run):
+        """``repro.check lint`` runs the concurrency pass too, and the
+        composed run stays clean."""
+        rc, out = lint_text_run
+        assert rc == 0
+        assert "conc=0" in out
 
 
 # ======================================================================
@@ -315,13 +317,13 @@ class TestStaticGraphCoversRuntime:
 # ======================================================================
 class TestConcCLI:
     def test_clean_run_exit_zero(self, capsys):
-        assert conc.main([]) == 0
+        assert lint.run_pass("conc", []) == 0
         out = capsys.readouterr().out
         assert "repro.check conc: clean" in out
         assert "acquire site(s)" in out
 
     def test_json_format_round_trips(self, capsys):
-        assert conc.main(["--format", "json"]) == 0
+        assert lint.run_pass("conc", ["--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["violations"] == []
         assert payload["new_violations"] == 0
@@ -330,7 +332,7 @@ class TestConcCLI:
 
     def test_graph_out_writes_json_and_dot(self, tmp_path, capsys):
         prefix = str(tmp_path / "lock-graph")
-        assert conc.main(["--graph-out", prefix]) == 0
+        assert lint.run_pass("conc", ["--graph-out", prefix]) == 0
         data = json.loads((tmp_path / "lock-graph.json").read_text())
         assert "folder:" in {node["class"] for node in data["nodes"]}
         dot = (tmp_path / "lock-graph.dot").read_text()
@@ -339,12 +341,12 @@ class TestConcCLI:
     def test_empty_baseline_passes_clean_tree(self, capsys):
         baseline = os.path.join(os.path.dirname(__file__), os.pardir,
                                 "conc-baseline.json")
-        assert conc.main(["--baseline", baseline]) == 0
+        assert lint.run_pass("conc", ["--baseline", baseline]) == 0
 
     def test_bad_baseline_is_a_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "broken.json"
         bad.write_text("{not json")
-        assert conc.main(["--baseline", str(bad)]) == 2
+        assert lint.run_pass("conc", ["--baseline", str(bad)]) == 2
 
     def test_baseline_suffix_matching(self, tmp_path):
         """Baselined findings are keyed (rule, repo-relative path) so a
@@ -359,10 +361,10 @@ class TestConcCLI:
                  "path": "fixtures/conc/tree/scripts/bad_lock_leak.py"},
             ],
         }))
-        known = conc.load_baseline(str(baseline))
-        assert conc._is_baselined(leak, known)
+        known = lint.load_baseline(str(baseline))
+        assert lint._is_baselined(leak, known)
         others = [v for v in report.violations if v is not leak]
-        assert not any(conc._is_baselined(v, known) for v in others)
+        assert not any(lint._is_baselined(v, known) for v in others)
 
     def test_committed_baseline_is_empty(self):
         """The repo ships with zero known findings; anything conc
@@ -391,9 +393,7 @@ class TestSatellites:
     def test_arch_dot_legend_lists_sched(self):
         """Satellite (b): the arch dot legend documents the full layer
         stack, sched included, even when no module landed in a layer."""
-        report = arch.analyze(
-            root=CONC_TREE, manifest=FIX_MANIFEST, package="concpkg"
-        )
+        report = arch.analyze(load(CONC_TREE, "concpkg"), manifest=FIX_MANIFEST)
         dot = report.to_dot()
         assert "cluster_legend" in dot
         legend_line = [ln for ln in dot.splitlines() if "legend" in ln and "label=" in ln]

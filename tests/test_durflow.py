@@ -25,6 +25,7 @@ import os
 import pytest
 
 from repro.check import arch, conc, costflow, durflow, lint
+from repro.check.index import load
 from repro.check.order import OrderLog, OrderRecorder, layout_spans
 from repro.crashmc.explore import _Stack
 from repro.crashmc.workload import WORKLOADS
@@ -38,7 +39,7 @@ _CACHE = {}
 
 def _fixture_report():
     if "fixture" not in _CACHE:
-        _CACHE["fixture"] = durflow.analyze(root=DUR_TREE, package="durpkg")
+        _CACHE["fixture"] = durflow.analyze(load(DUR_TREE, "durpkg"))
     return _CACHE["fixture"]
 
 
@@ -183,19 +184,19 @@ class TestRealTree:
         assert ("node-write", "tree-sync") in pairs
         assert ("sb-write", "sb-sync") in pairs
 
-    def test_lint_composes_durflow(self, capsys):
-        """Satellite: ``repro.check lint`` runs all five passes and
-        reports the per-pass summary — rc and format are pinned."""
-        assert lint.main([]) == 0
-        out = capsys.readouterr().out
+    def test_lint_composes_durflow(self, lint_text_run):
+        """``repro.check lint`` runs all five passes and reports the
+        per-pass summary: rc and format are pinned."""
+        rc, out = lint_text_run
+        assert rc == 0
         assert (
             "repro.check lint: clean (lint=0 arch=0 costflow=0 conc=0 durflow=0)"
             in out
         )
 
-    def test_lint_json_reports_passes(self, capsys):
-        assert lint.main(["--format", "json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
+    def test_lint_json_reports_passes(self, lint_json_run):
+        rc, payload, _prefix = lint_json_run
+        assert rc == 0
         assert payload["passes"] == {
             "lint": 0, "arch": 0, "costflow": 0, "conc": 0, "durflow": 0,
         }
@@ -283,13 +284,13 @@ class TestOrderRecorder:
 # ======================================================================
 class TestDurflowCLI:
     def test_clean_run_exit_zero(self, capsys):
-        assert durflow.main([]) == 0
+        assert lint.run_pass("durflow", []) == 0
         out = capsys.readouterr().out
         assert "repro.check durflow: clean" in out
         assert "durable-effect site(s)" in out
 
     def test_json_format_round_trips(self, capsys):
-        assert durflow.main(["--format", "json"]) == 0
+        assert lint.run_pass("durflow", ["--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["violations"] == []
         assert payload["new_violations"] == 0
@@ -298,7 +299,7 @@ class TestDurflowCLI:
 
     def test_graph_out_writes_json_and_dot(self, tmp_path, capsys):
         prefix = str(tmp_path / "order-graph")
-        assert durflow.main(["--graph-out", prefix]) == 0
+        assert lint.run_pass("durflow", ["--graph-out", prefix]) == 0
         data = json.loads((tmp_path / "order-graph.json").read_text())
         assert "wal-write" in data["effects"]
         assert "log-sync" in data["barriers"]
@@ -308,12 +309,12 @@ class TestDurflowCLI:
     def test_empty_baseline_passes_clean_tree(self, capsys):
         baseline = os.path.join(os.path.dirname(__file__), os.pardir,
                                 "durflow-baseline.json")
-        assert durflow.main(["--baseline", baseline]) == 0
+        assert lint.run_pass("durflow", ["--baseline", baseline]) == 0
 
     def test_bad_baseline_is_a_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "broken.json"
         bad.write_text("{not json")
-        assert durflow.main(["--baseline", str(bad)]) == 2
+        assert lint.run_pass("durflow", ["--baseline", str(bad)]) == 2
 
     def test_baseline_suffix_matching(self, tmp_path):
         report = _fixture_report()
@@ -327,10 +328,10 @@ class TestDurflowCLI:
                  "path": "fixtures/durflow/tree/bad_recovery_peek.py"},
             ],
         }))
-        known = durflow.load_baseline(str(baseline))
-        assert durflow._is_baselined(peek, known)
+        known = lint.load_baseline(str(baseline))
+        assert lint._is_baselined(peek, known)
         others = [v for v in report.violations if v is not peek]
-        assert not any(durflow._is_baselined(v, known) for v in others)
+        assert not any(lint._is_baselined(v, known) for v in others)
 
     def test_committed_baseline_is_empty(self):
         path = os.path.join(os.path.dirname(__file__), os.pardir,
@@ -345,37 +346,32 @@ class TestDurflowCLI:
 #: tool name -> analyze() over a tmp tree holding only waiver comments.
 _HYGIENE_ANALYZES = {
     "arch": lambda root: arch.analyze(
-        root=root, manifest=(("only", ("tpkg.mod",)),), package="tpkg"
+        load(root, "tpkg"), manifest=(("only", ("tpkg.mod",)),)
     ),
-    "costflow": lambda root: costflow.analyze(
-        root=root, package="tpkg", exempt=()
-    ),
+    "costflow": lambda root: costflow.analyze(load(root, "tpkg"), exempt=()),
     "conc": lambda root: conc.analyze(
-        root=root, package="tpkg", manifest=(("only", ("tpkg.mod",)),)
+        load(root, "tpkg"), manifest=(("only", ("tpkg.mod",)),)
     ),
-    "durflow": lambda root: durflow.analyze(root=root, package="tpkg"),
+    "durflow": lambda root: durflow.analyze(load(root, "tpkg")),
 }
 
 #: tool name -> cached report over the tool's own fixture tree (which
 #: holds a *used* waiver), for the used-is-printed half of the contract.
 _FIXTURE_REPORTS = {
     "arch": lambda: arch.analyze(
-        root=os.path.join(FIXTURES, "arch", "tree"),
+        load(os.path.join(FIXTURES, "arch", "tree"), "fixpkg"),
         manifest=(
             ("high", ("fixpkg.high",)),
             ("mid", ("fixpkg.cyc_a", "fixpkg.cyc_b", "fixpkg.unused")),
             ("low", ("fixpkg.low",)),
         ),
-        package="fixpkg",
     ),
     "costflow": lambda: costflow.analyze(
-        root=os.path.join(FIXTURES, "costflow", "tree"),
-        package="flowpkg",
+        load(os.path.join(FIXTURES, "costflow", "tree"), "flowpkg"),
         exempt=(),
     ),
     "conc": lambda: conc.analyze(
-        root=os.path.join(FIXTURES, "conc", "tree"),
-        package="concpkg",
+        load(os.path.join(FIXTURES, "conc", "tree"), "concpkg"),
         manifest=(
             ("scripts", ("concpkg.scripts",)),
             ("engine", ("concpkg.engine",)),
